@@ -278,10 +278,6 @@ func rateCell(cur, prev int64, elapsed time.Duration) string {
 	return fmt.Sprintf("%10.1f/s", perSecond(cur-prev, elapsed))
 }
 
-// histSuffixes are the snapshot keys a histogram named h expands to; their
-// shared base name identifies a histogram family in the flat snapshot.
-var histSuffixes = []string{".count", ".sum", ".max", ".p50", ".p95", ".p99"}
-
 // render formats one refresh. With prev == nil (the -once path) counters
 // print as absolute values; otherwise they print as per-second rates over
 // elapsed. hist (may be nil) adds a per-row sparkline of the daemon's own
@@ -290,14 +286,14 @@ var histSuffixes = []string{".count", ".sum", ".max", ".p50", ".p95", ".p99"}
 func render(source string, prev, cur map[string]int64, hist history, elapsed time.Duration, ex exemplars) string {
 	hists := map[string]bool{}
 	for k := range cur {
-		if base, ok := histBase(k, cur); ok {
-			hists[base] = true
+		if s, ok := obsv.HistogramSuffixOf(k, cur); ok {
+			hists[strings.TrimSuffix(k, s)] = true
 		}
 	}
 
 	var scalars []string
 	for k := range cur {
-		if _, ok := histBase(k, cur); ok {
+		if _, ok := obsv.HistogramSuffixOf(k, cur); ok {
 			continue
 		}
 		scalars = append(scalars, k)
@@ -483,29 +479,6 @@ func renderFormats(source string, prev, cur map[string]int64, _ history, elapsed
 	return b.String()
 }
 
-// histBase reports whether key belongs to a histogram family — it carries
-// one of the histogram suffixes and the snapshot holds all six sibling keys
-// for the same base name.
-func histBase(key string, snap map[string]int64) (string, bool) {
-	for _, s := range histSuffixes {
-		if !strings.HasSuffix(key, s) {
-			continue
-		}
-		base := strings.TrimSuffix(key, s)
-		all := true
-		for _, s2 := range histSuffixes {
-			if _, ok := snap[base+s2]; !ok {
-				all = false
-				break
-			}
-		}
-		if all {
-			return base, true
-		}
-	}
-	return "", false
-}
-
 func perSecond(delta int64, elapsed time.Duration) float64 {
 	if elapsed <= 0 {
 		return 0
@@ -643,8 +616,8 @@ func renderFleet(source string, prev, cur map[string]int64, _ history, elapsed t
 	famSet := map[string]bool{}
 	for _, rows := range curBy {
 		for row := range rows {
-			if base, ok := histBase(row, rows); ok {
-				famSet[base] = true
+			if s, ok := obsv.HistogramSuffixOf(row, rows); ok {
+				famSet[strings.TrimSuffix(row, s)] = true
 				continue
 			}
 			rowSet[row] = true
@@ -652,8 +625,9 @@ func renderFleet(source string, prev, cur map[string]int64, _ history, elapsed t
 	}
 	// A family complete on one instance may be partial on another; keep its
 	// children out of the scalar rows either way.
+	suffixes := obsv.HistogramSuffixes()
 	isChild := func(row string) bool {
-		for _, s := range histSuffixes {
+		for _, s := range suffixes {
 			if famSet[strings.TrimSuffix(row, s)] && strings.HasSuffix(row, s) {
 				return true
 			}

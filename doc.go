@@ -53,7 +53,9 @@
 // expvar and pprof — the daemons mount it behind their -debug-addr flag.
 // Components accept a private registry via WithObserver (and the broker and
 // plan-cache equivalents) when isolation matters; Broker.Stats gives a
-// typed per-broker view. The hot-path instruments are allocation-free.
+// typed per-broker view. The hot-path instruments are allocation-free, and
+// every histogram quantile (the .p50/.p95/.p99 keys) is at most 1/64 above
+// the true sample.
 //
 // Failures surface as wrapped sentinel errors (ErrUnknownFormat,
 // ErrFieldMismatch, ErrSlowSubscriber, ...) so callers branch with

@@ -75,8 +75,7 @@ type brokerMetrics struct {
 	// subscribers, exemplar-stamped for traced frames; queueWaitVec splits
 	// the same measurement per subscriber connection (label "conn"), so one
 	// stalled subscriber is distinguishable from fleet-wide backpressure.
-	// Connection ids churn with reconnects; the registry's label-children
-	// bound clamps runaway cardinality onto the overflow child.
+	// A connection's child is deleted when the connection is dropped.
 	queueWaitNS  *obsv.Histogram    // queue_wait_ns
 	queueWaitVec *obsv.HistogramVec // subscriber.queue_wait_ns{conn}
 
@@ -87,24 +86,26 @@ type brokerMetrics struct {
 	wireByteVec *obsv.CounterVec // wire.bytes{stream,format}: record bytes published
 	delRecVec   *obsv.CounterVec // wire.delivered.records{stream,format}
 	delByteVec  *obsv.CounterVec // wire.delivered.bytes{stream,format}
+	dropRecVec  *obsv.CounterVec // wire.dropped.records{stream,format}: queue-full drops
 	metaByteVec *obsv.CounterVec // wire.meta.bytes{stream,format}: metadata bytes sent
 }
 
 func newBrokerMetrics(s obsv.Scope) brokerMetrics {
 	return brokerMetrics{
-		published:   s.Counter("published"),
-		delivered:   s.Counter("delivered"),
-		dropped:     s.Counter("dropped"),
-		formatsSent: s.Counter("formats_sent"),
-		slowStalls:  s.Counter("slow_subscriber_stalls"),
-		routeNS:     s.Histogram("route_ns"),
-		queueWaitNS: s.Histogram("queue_wait_ns"),
+		published:    s.Counter("published"),
+		delivered:    s.Counter("delivered"),
+		dropped:      s.Counter("dropped"),
+		formatsSent:  s.Counter("formats_sent"),
+		slowStalls:   s.Counter("slow_subscriber_stalls"),
+		routeNS:      s.Histogram("route_ns"),
+		queueWaitNS:  s.Histogram("queue_wait_ns"),
 		queueWaitVec: s.HistogramVec("subscriber.queue_wait_ns", "conn"),
-		wireRecVec:  s.CounterVec("wire.records", "stream", "format"),
-		wireByteVec: s.CounterVec("wire.bytes", "stream", "format"),
-		delRecVec:   s.CounterVec("wire.delivered.records", "stream", "format"),
-		delByteVec:  s.CounterVec("wire.delivered.bytes", "stream", "format"),
-		metaByteVec: s.CounterVec("wire.meta.bytes", "stream", "format"),
+		wireRecVec:   s.CounterVec("wire.records", "stream", "format"),
+		wireByteVec:  s.CounterVec("wire.bytes", "stream", "format"),
+		delRecVec:    s.CounterVec("wire.delivered.records", "stream", "format"),
+		delByteVec:   s.CounterVec("wire.delivered.bytes", "stream", "format"),
+		dropRecVec:   s.CounterVec("wire.dropped.records", "stream", "format"),
+		metaByteVec:  s.CounterVec("wire.meta.bytes", "stream", "format"),
 	}
 }
 
@@ -133,12 +134,6 @@ type stream struct {
 	formats []formatMeta
 	subs    map[*brokerConn]bool
 
-	// Per-stream instruments (eventbus.stream.<name>.published|delivered|
-	// dropped), resolved once when the stream is created.
-	published *obsv.Counter
-	delivered *obsv.Counter
-	dropped   *obsv.Counter
-
 	// wire resolves the labeled (stream, format) counter children once per
 	// format seen on the stream. Guarded by the broker mutex.
 	wire map[pbio.FormatID]*streamWire
@@ -156,6 +151,7 @@ type streamWire struct {
 	bytes     *obsv.Counter
 	delRecs   *obsv.Counter
 	delBytes  *obsv.Counter
+	dropRecs  *obsv.Counter
 	metaBytes *obsv.Counter
 }
 
@@ -177,6 +173,7 @@ func (st *stream) wireFor(m *brokerMetrics, fm formatMeta) *streamWire {
 		bytes:     m.wireByteVec.With(st.name, name),
 		delRecs:   m.delRecVec.With(st.name, name),
 		delBytes:  m.delByteVec.With(st.name, name),
+		dropRecs:  m.dropRecVec.With(st.name, name),
 		metaBytes: m.metaByteVec.With(st.name, name),
 	}
 	st.wire[fm.id] = w
@@ -307,7 +304,7 @@ func WithWriteDeadline(d time.Duration) BrokerOption {
 }
 
 // WithObserver directs the broker's metrics (published/delivered/dropped,
-// per-stream counters, queue depth, slow-subscriber stalls) into r instead
+// per-stream wire counters, queue depth, slow-subscriber stalls) into r instead
 // of the process default registry.
 func WithObserver(r *obsv.Registry) BrokerOption {
 	return func(b *Broker) {
@@ -624,14 +621,10 @@ func (b *Broker) dispatch(bc *brokerConn, typ byte, payload []byte) error {
 func (b *Broker) ensureStream(name string) *stream {
 	st, ok := b.streams[name]
 	if !ok {
-		sc := b.obs.Counter // eventbus.stream.<name>.*
 		st = &stream{
-			name:      name,
-			subs:      make(map[*brokerConn]bool),
-			published: sc("stream." + name + ".published"),
-			delivered: sc("stream." + name + ".delivered"),
-			dropped:   sc("stream." + name + ".dropped"),
-			wire:      make(map[pbio.FormatID]*streamWire),
+			name: name,
+			subs: make(map[*brokerConn]bool),
+			wire: make(map[pbio.FormatID]*streamWire),
 		}
 		b.streams[name] = st
 	}
@@ -706,7 +699,6 @@ func (b *Broker) publish(bc *brokerConn, payload []byte, isTraced bool) error {
 	b.mu.Unlock()
 
 	b.m.published.Add(1)
-	st.published.Add(1)
 	w.recs.Add(1)
 	w.bytes.Add(int64(len(rest) - 8))
 	b.rec.Record(flight.KindFrameRecv, bc.id, name, w.id, int64(len(rest)-8), "")
@@ -806,12 +798,11 @@ func (b *Broker) sendEvent(sub *brokerConn, d *delivery, typ byte, payload []byt
 	}
 	if queued {
 		b.m.delivered.Add(1)
-		d.st.delivered.Add(1)
 		d.w.delRecs.Add(1)
 		d.w.delBytes.Add(int64(len(payload)))
 		b.rec.Record(flight.KindFrameSend, sub.id, d.st.name, d.w.id, int64(len(payload)), "")
 	} else {
-		d.st.dropped.Add(1)
+		d.w.dropRecs.Add(1)
 		b.rec.Record(flight.KindSlowSubDrop, sub.id, d.st.name, d.w.id, int64(len(payload)), "queue full")
 	}
 	return nil
@@ -1029,6 +1020,11 @@ func (b *Broker) drop(bc *brokerConn) {
 	case <-time.After(3 * time.Second):
 	}
 	_ = bc.conn.Close()
+	if first {
+		// Connection ids only grow: a dead connection's child would hold
+		// a slot under the vec's children bound forever.
+		b.m.queueWaitVec.Delete(strconv.FormatUint(bc.id, 10))
+	}
 }
 
 // BrokerStats is a point-in-time view of the broker's delivery health.

@@ -8,6 +8,7 @@ import (
 	"openmeta/internal/machine"
 	"openmeta/internal/obsv"
 	"openmeta/internal/pbio"
+	"openmeta/internal/testutil"
 	"openmeta/internal/trace"
 )
 
@@ -106,4 +107,43 @@ func TestQueueWaitObservability(t *testing.T) {
 	if !found {
 		t.Fatalf("eventbus.broker_mu missing from lock snapshots: %+v", reg.LockSnapshots())
 	}
+}
+
+// TestQueueWaitChildFreedOnDisconnect: every accepted connection gets a
+// subscriber.queue_wait_ns{conn} child, and connection ids only grow, so
+// dropping a connection must free its child — or churning clients fill the
+// vec's children bound and every later observation lands in the overflow
+// child.
+func TestQueueWaitChildFreedOnDisconnect(t *testing.T) {
+	reg := obsv.New()
+	b, err := Listen("127.0.0.1:0", WithLogger(quietLogger), WithObserver(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = b.Close() })
+	children := func() int {
+		n := 0
+		for k := range reg.Snapshot() {
+			if strings.HasPrefix(k, "eventbus.subscriber.queue_wait_ns{") && strings.HasSuffix(k, ".count") {
+				n++
+			}
+		}
+		return n
+	}
+	base := children()
+	for range 50 {
+		sub, err := DialSubscriber(b.Addr().String(), subCtx(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sub.Subscribe("churn"); err != nil {
+			t.Fatal(err)
+		}
+		waitForStream(t, b, "churn", 1) // accepted and registered
+		_ = sub.Close()
+		waitForStream(t, b, "churn", 0)
+	}
+	testutil.WaitFor(t, 5*time.Second, "queue-wait children back at baseline", func() bool {
+		return children() == base
+	})
 }

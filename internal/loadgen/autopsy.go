@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"openmeta/internal/obsv"
 	"openmeta/internal/trace"
 )
 
@@ -38,17 +39,21 @@ type AutopsySpan struct {
 
 // buildAutopsy picks the p99 exemplar out of the merged latency histogram
 // and assembles its trace from the run's span snapshot.
-func buildAutopsy(h *Hist, spans []trace.Span) *Autopsy {
-	if h.Count() == 0 {
+func buildAutopsy(h *obsv.Histogram, spans []trace.Span) *Autopsy {
+	v := h.Value()
+	if v.Count == 0 {
 		return nil
 	}
-	p99 := h.Quantile(0.99)
-	v, tid, _, ok := h.ExemplarNear(p99)
+	p99 := v.Quantile(0.99)
+	ex, ok := exemplarNear(h.Exemplars(), p99)
 	if !ok {
 		return nil
 	}
-	var id trace.TraceID = tid
-	a := &Autopsy{TraceID: id.String(), LatencyNS: v, P99NS: p99}
+	id, ok := trace.ParseTraceID(ex.TraceID)
+	if !ok {
+		return nil
+	}
+	a := &Autopsy{TraceID: ex.TraceID, LatencyNS: ex.Value, P99NS: p99}
 	asm := trace.Assemble(id, trace.Tag("omload", spans))
 	a.SpanCount = asm.Spans
 	a.Orphans = asm.Orphans
@@ -64,4 +69,19 @@ func buildAutopsy(h *Hist, spans []trace.Span) *Autopsy {
 	})
 	a.Stages = stageShares(flat)
 	return a
+}
+
+// exemplarNear resolves a quantile value to a traced sample: the exemplar
+// with the smallest value >= v, or failing that the largest one. ok is false
+// when exs is empty.
+func exemplarNear(exs []obsv.Exemplar, v int64) (best obsv.Exemplar, ok bool) {
+	for _, e := range exs {
+		switch {
+		case !ok,
+			e.Value >= v && (best.Value < v || e.Value < best.Value),
+			e.Value < v && best.Value < v && e.Value > best.Value:
+			best, ok = e, true
+		}
+	}
+	return best, ok
 }

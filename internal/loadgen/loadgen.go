@@ -174,7 +174,7 @@ const warmupSeq = -1
 type subscriber struct {
 	class string
 	sub   *eventbus.Subscriber
-	hist  Hist
+	hist  obsv.Histogram
 	recvd int64
 	bytes int64
 	warm  chan struct{} // closed on first (warmup) record
@@ -417,7 +417,7 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 		Elapsed: elapsed,
 		Classes: make(map[string]*ClassReport),
 	}
-	var overall Hist
+	var overall obsv.Histogram
 	for _, s := range subs {
 		cr := rep.Classes[s.class]
 		if cr == nil {
@@ -578,9 +578,9 @@ func (s *subscriber) loop(stream string) {
 			if ev.Trace.Sampled() {
 				// A traced record: remember its latency + TraceID so the
 				// report's autopsy can link the p99 to an assembled trace.
-				s.hist.RecordExemplar(now-pubns, ev.Trace.Trace(), now)
+				s.hist.ObserveExemplar(now-pubns, ev.Trace.Trace())
 			} else {
-				s.hist.Record(now - pubns)
+				s.hist.Observe(now - pubns)
 			}
 		}
 		s.bytes += int64(len(ev.Data))

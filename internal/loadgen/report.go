@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"openmeta/internal/obsv"
 )
 
 // ReportSchema versions the JSON report shape for downstream consumers
@@ -25,17 +27,23 @@ type LatencySummary struct {
 	Max   int64   `json:"max"`
 }
 
-func summarize(h *Hist) LatencySummary {
-	return LatencySummary{
-		Count: h.Count(),
-		Min:   h.Min(),
-		Mean:  h.Mean(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-		P999:  h.Quantile(0.999),
-		Max:   h.Max(),
+// summarize digests one latency histogram. Quantiles carry obsv's
+// QuantileError; Mean counts clock-skewed negative samples as zero.
+func summarize(h *obsv.Histogram) LatencySummary {
+	v := h.Value()
+	s := LatencySummary{
+		Count: uint64(v.Count),
+		Min:   v.Min,
+		P50:   v.Quantile(0.50),
+		P95:   v.Quantile(0.95),
+		P99:   v.Quantile(0.99),
+		P999:  v.Quantile(0.999),
+		Max:   v.Max,
 	}
+	if v.Count > 0 {
+		s.Mean = float64(v.Sum) / float64(v.Count)
+	}
+	return s
 }
 
 // ClassReport is one subscriber class's slice of the run.
@@ -46,7 +54,7 @@ type ClassReport struct {
 	DecodeErrors int64          `json:"decode_errors,omitempty"`
 	Latency      LatencySummary `json:"latency_ns"`
 
-	hist Hist
+	hist obsv.Histogram
 }
 
 // StageShare is one pipeline stage's share of the traced self time.

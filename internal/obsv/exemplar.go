@@ -1,5 +1,6 @@
 // Exemplars link latency histograms to real traces: alongside its bucket
-// counts, a histogram remembers, per power-of-two bucket, the last sampled
+// counts, a histogram remembers, per power-of-two octave (the le bucket of
+// the /metrics exposition), the last sampled
 // observation that arrived with a TraceID — value, TraceID and wall-clock
 // timestamp. A p99 excursion in /stats is then not just a number: the bucket
 // the p99 falls in carries the ID of an actual request that landed there,
@@ -17,7 +18,6 @@ package obsv
 import (
 	"encoding/binary"
 	"encoding/hex"
-	"math/bits"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -101,18 +101,23 @@ func (h *Histogram) ObserveExemplar(v int64, tid [16]byte) {
 	if v < 0 {
 		v = 0
 	}
+	hi := binary.BigEndian.Uint64(tid[0:8])
+	lo := binary.BigEndian.Uint64(tid[8:16])
+	h.exemplarSlots()[octave(v)].store(v, hi, lo, time.Now().UnixNano())
+}
+
+// exemplarSlots returns the per-octave slots, allocating them once so
+// exemplar-free histograms stay small; losing the CAS means another observer
+// installed them.
+func (h *Histogram) exemplarSlots() *[histOctaves]exemplarSlot {
 	slots := h.ex.Load()
 	if slots == nil {
-		// One-time lazy allocation so exemplar-free histograms stay as small
-		// as before; losing the CAS means another observer installed it.
-		slots = new([histBuckets]exemplarSlot)
+		slots = new([histOctaves]exemplarSlot)
 		if !h.ex.CompareAndSwap(nil, slots) {
 			slots = h.ex.Load()
 		}
 	}
-	hi := binary.BigEndian.Uint64(tid[0:8])
-	lo := binary.BigEndian.Uint64(tid[8:16])
-	slots[bucketIndex(v)].store(v, hi, lo, time.Now().UnixNano())
+	return slots
 }
 
 // Exemplar is one bucket's exported exemplar: the bucket index (the sample
@@ -147,7 +152,7 @@ func (h *Histogram) Exemplars() []Exemplar {
 
 // exemplarFor returns the exemplar for one bucket, if populated.
 func (h *Histogram) exemplarFor(bucket int) (Exemplar, bool) {
-	if h == nil || bucket < 0 || bucket >= histBuckets {
+	if h == nil || bucket < 0 || bucket >= histOctaves {
 		return Exemplar{}, false
 	}
 	slots := h.ex.Load()
@@ -231,7 +236,3 @@ func (r *Registry) FindHistogram(name string) *Histogram {
 	}
 	return nil
 }
-
-// bucketIndex returns the histogram bucket a (non-negative) sample lands in —
-// the same power-of-two rule Observe uses.
-func bucketIndex(v int64) int { return bits.Len64(uint64(v)) }

@@ -86,7 +86,7 @@ func DebugMuxFor(r *Registry, h *Health, rec *flight.Recorder, extra ...DebugEnd
 	mux := http.NewServeMux()
 	index := []DebugEndpoint{
 		{Path: "/debug", Desc: "this index"},
-		{Path: "/stats", Desc: "instrument registry snapshot as flat JSON (?exemplars=1 adds per-bucket trace exemplars)"},
+		{Path: "/stats", Desc: "instrument registry snapshot as flat JSON; histogram .p50/.p95/.p99 are at most 1/64 above the true sample (?exemplars=1 adds per-bucket trace exemplars)"},
 		{Path: "/debug/stats", Desc: "alias of /stats"},
 		{Path: "/metrics", Desc: "Prometheus text exposition of the registry (Accept: application/openmetrics-text for exemplars)"},
 		{Path: "/debug/flight", Desc: "protocol flight recorder, newest first (?conn=&stream=&kind=&n=; ?since_seq= scrapes incrementally from a seq cursor)"},

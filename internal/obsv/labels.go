@@ -122,6 +122,18 @@ func (v *vec[T]) with(values []string) *T {
 	return c.inst
 }
 
+// delete removes the child for the given label values, if any, and bumps
+// the registry generation so samplers drop their pointer to it.
+func (v *vec[T]) delete(values []string) {
+	key := strings.Join(values, vecKeySep)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if _, ok := v.m[key]; ok {
+		delete(v.m, key)
+		v.reg.gen.Add(1)
+	}
+}
+
 // children returns a stable copy of the child list (including the overflow
 // child once clamping has begun) sorted by rendered labels.
 func (v *vec[T]) children() []*vecChild[T] {
@@ -184,6 +196,17 @@ func (hv *HistogramVec) With(values ...string) *Histogram {
 		return nil
 	}
 	return hv.v.with(values)
+}
+
+// Delete removes the child for the given label values, freeing its slot
+// under the registry's children bound — for labels naming something that is
+// gone for good, like a closed connection. A later With for the same values
+// starts a fresh child.
+func (hv *HistogramVec) Delete(values ...string) {
+	if hv == nil {
+		return
+	}
+	hv.v.delete(values)
 }
 
 // CounterVec returns the labeled counter family registered under name,

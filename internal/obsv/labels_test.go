@@ -134,3 +134,32 @@ func TestPrometheusLabeledSeries(t *testing.T) {
 		t.Errorf("labeled bucket with le bound missing\n---\n%s", body)
 	}
 }
+
+// TestHistogramVecDelete: deleting a child drops it from snapshots, frees
+// its slot under the children bound and bumps the generation samplers
+// watch; a later With starts a fresh child.
+func TestHistogramVecDelete(t *testing.T) {
+	r := New()
+	r.SetMaxLabelChildren(1)
+	hv := r.HistogramVec("q.ns", "conn")
+	hv.With("1").Observe(5)
+	gen := r.Generation()
+	hv.Delete("1")
+	hv.Delete("1") // already gone: no-op
+	if r.Generation() != gen+1 {
+		t.Fatalf("generation moved %d, want 1", r.Generation()-gen)
+	}
+	if _, ok := r.Snapshot()[`q.ns{conn="1"}.count`]; ok {
+		t.Fatal("deleted child still in the snapshot")
+	}
+	hv.With("2").Observe(7) // the freed slot, not the overflow child
+	snap := r.Snapshot()
+	if snap[`q.ns{conn="2"}.count`] != 1 || snap[DroppedLabelsCounter] != 0 {
+		t.Fatalf("child after delete did not reuse the slot: %v", snap)
+	}
+	if hv.With("1").Value().Count != 0 {
+		t.Fatal("re-created child kept the deleted child's samples")
+	}
+	var nilVec *HistogramVec
+	nilVec.Delete("1") // must not panic
+}

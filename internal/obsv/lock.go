@@ -8,7 +8,7 @@ import (
 
 // Tracked locks: drop-in sync.Mutex / sync.RWMutex replacements whose
 // acquisition wait time and critical-section hold time land in the registry's
-// striped histograms. The fast path is allocation-free — two time.Now calls
+// histograms. The fast path is allocation-free — two time.Now calls
 // and two histogram observations around the underlying lock — so a tracked
 // lock can sit on a hot path (Broker.mu, the dcg plan cache) permanently
 // rather than only during debugging sessions. Each tracked lock also

@@ -21,11 +21,11 @@ func HistogramSuffixes() []string {
 	return out
 }
 
-// histogramSuffixOf reports the histogram suffix carried by key, checking
-// that every sibling key of the same family exists in the snapshot — the
-// same six-sibling rule omtop uses, so ".count" in an ordinary counter name
-// is not mistaken for a histogram member.
-func histogramSuffixOf(key string, snap map[string]int64) (string, bool) {
+// HistogramSuffixOf reports the histogram suffix carried by key, checking
+// that every sibling key of the same family exists in the snapshot, so
+// ".count" in an ordinary counter name is not mistaken for a histogram
+// member. The family's base name is key without the suffix.
+func HistogramSuffixOf(key string, snap map[string]int64) (string, bool) {
 	for _, s := range histogramSuffixes {
 		if !strings.HasSuffix(key, s) {
 			continue
@@ -78,7 +78,7 @@ func AddLabel(key, histSuffix, labelKey, labelValue string) string {
 // overwritten — the newest scrape wins.
 func MergeLabeled(dst, snap map[string]int64, labelKey, labelValue string) {
 	for k, v := range snap {
-		suffix, _ := histogramSuffixOf(k, snap)
+		suffix, _ := HistogramSuffixOf(k, snap)
 		dst[AddLabel(k, suffix, labelKey, labelValue)] = v
 	}
 }

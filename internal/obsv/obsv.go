@@ -10,17 +10,19 @@
 // registry, and DebugMux serves it over HTTP next to net/http/pprof so every
 // later performance PR can prove its win against live counters.
 //
-// Hot-path contract: Counter.Add, Gauge.Set and Histogram.Observe perform no
-// allocation and take no locks (guarded by testing.AllocsPerRun in the
-// package tests). Instrument lookup (Registry.Counter etc.) takes a mutex
+// Hot-path contract: Counter.Add, Gauge.Set and Histogram.Observe take no
+// locks and perform no allocation, except that a histogram allocates an
+// octave's counters the first time a sample lands in it (guarded by
+// testing.AllocsPerRun in the package tests). Histogram quantiles carry a
+// relative error of at most QuantileError (1/64). Instrument lookup (Registry.Counter etc.) takes a mutex
 // and may allocate; resolve instruments once at setup time and hold the
 // pointers. All instrument methods are nil-receiver safe, so optional
 // instrumentation can be left nil without branching at call sites.
 package obsv
 
 import (
+	"math"
 	"math/bits"
-	"math/rand/v2"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -81,130 +83,240 @@ func (g *Gauge) Load() int64 {
 	return g.v.Load()
 }
 
-// histStripes spreads histogram updates over independent cache lines so
-// concurrent observers do not serialize on one set of atomics. Must be a
-// power of two.
-const histStripes = 8
+// The histogram layout is log-linear: values below histSub get one exact
+// bucket each, and every power of two above that is split into histSub
+// equal-width sub-buckets. A sub-bucket is at most 1/histSub as wide as its
+// lower bound, so a quantile reported as its bucket's upper bound is never
+// below the true sample and at most QuantileError above it.
+const (
+	histSubBits = 6
+	histSub     = 1 << histSubBits // sub-buckets per octave
+	// histChunks is the number of histSub-counter chunks covering every
+	// non-negative int64: chunk 0 holds the exact values 0..histSub-1, chunk
+	// c >= 1 the octave [2^(c+histSubBits-1), 2^(c+histSubBits)).
+	histChunks  = 64 - histSubBits
+	histBuckets = histChunks * histSub
+	// histOctaves is one slot per power of two (bits.Len64 of a non-negative
+	// int64): the unit of the Prometheus le bounds and of exemplar slots.
+	histOctaves = 64
+)
 
-// histBuckets is one bucket per power of two of the observed value:
-// bucket i counts values v with bits.Len64(v) == i, i.e. [2^(i-1), 2^i).
-// Bucket 0 counts zeros.
-const histBuckets = 65
+// QuantileError is the largest relative error of a reported quantile: the
+// value is the upper bound of the bucket holding the ranked sample, so it
+// lies in [x, x*(1+QuantileError)] for the true sample x.
+const QuantileError = 1.0 / histSub
 
-type histStripe struct {
-	count   atomic.Int64
-	sum     atomic.Int64
-	max     atomic.Int64
-	buckets [histBuckets]atomic.Int64
-	// pad the stripe out so adjacent stripes never share a cache line.
-	_ [64]byte
+// bucketIndex maps a non-negative sample to its bucket.
+func bucketIndex(v int64) int {
+	if v < histSub {
+		return int(v)
+	}
+	l := bits.Len64(uint64(v))
+	sub := int(uint64(v)>>uint(l-histSubBits-1)) & (histSub - 1)
+	return (l-histSubBits)*histSub + sub
 }
 
-// Histogram records a distribution of non-negative int64 samples
-// (nanoseconds, byte counts) in power-of-two buckets, striped to stay cheap
-// under concurrency. A nil *Histogram is a no-op.
+// bucketUpper is the largest value that lands in bucket i.
+func bucketUpper(i int) int64 {
+	if i < histSub {
+		return int64(i)
+	}
+	shift := uint(i/histSub - 1) // log2 of the bucket width
+	lo := int64(histSub+i%histSub) << shift
+	return lo + int64(1)<<shift - 1
+}
+
+// octave is the power-of-two slot of a non-negative value: v lies in
+// [2^(octave-1), 2^octave), octave 0 holding zero.
+func octave(v int64) int { return bits.Len64(uint64(v)) }
+
+// Histogram records a distribution of int64 samples (nanoseconds, byte
+// counts) in log-linear buckets with QuantileError relative error. Negative
+// samples (clock skew) count as zero but keep an exact Min. The counters
+// for one octave are allocated the first time a sample lands in it, so a
+// histogram costs about 0.5 KB plus 0.5 KB per octave it has seen. A nil
+// *Histogram is a no-op.
 type Histogram struct {
-	stripes [histStripes]histStripe
-	// ex holds the per-bucket exemplar slots (exemplar.go), allocated once
+	sum atomic.Int64
+	max atomic.Int64
+	// min holds the smallest raw sample as minKey(v): order-reversing, with
+	// zero standing for "no sample yet", so lowering it is a CAS-raise.
+	min    atomic.Uint64
+	chunks [histChunks]atomic.Pointer[[histSub]atomic.Int64]
+	// ex holds the per-octave exemplar slots (exemplar.go), allocated once
 	// on the first traced observation so untraced histograms pay nothing.
-	ex atomic.Pointer[[histBuckets]exemplarSlot]
+	ex atomic.Pointer[[histOctaves]exemplarSlot]
 }
 
-// Observe records one sample. Negative samples are clamped to zero.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	if v < 0 {
-		v = 0
-	}
-	s := &h.stripes[rand.Uint64()&(histStripes-1)]
-	s.count.Add(1)
-	s.sum.Add(v)
-	s.buckets[bits.Len64(uint64(v))].Add(1)
+// minKey maps v onto an unsigned key that decreases as v grows, with
+// minKey(math.MaxInt64) == 0; v is int64(key ^ math.MaxInt64).
+func minKey(v int64) uint64 { return uint64(v) ^ math.MaxInt64 }
+
+// raise stores v in a if v is larger than a's current value.
+func raise(a *atomic.Int64, v int64) {
 	for {
-		old := s.max.Load()
-		if v <= old || s.max.CompareAndSwap(old, v) {
-			break
+		old := a.Load()
+		if v <= old || a.CompareAndSwap(old, v) {
+			return
 		}
 	}
 }
 
-// AddSamples records n samples of value v in one stripe update — the bulk
-// path the runtime/metrics bridge uses to replay bucket-count deltas from the
-// Go runtime's cumulative histograms without looping Observe per sample.
-// Negative v clamps to zero; n <= 0 is a no-op.
+// lowerMin records v as the new minimum if it is smaller than the current one.
+func (h *Histogram) lowerMin(v int64) {
+	k := minKey(v)
+	for {
+		old := h.min.Load()
+		if k <= old || h.min.CompareAndSwap(old, k) {
+			return
+		}
+	}
+}
+
+// counter returns bucket i's count, installing its octave's chunk on first
+// use; losing the install CAS means another observer installed it.
+func (h *Histogram) counter(i int) *atomic.Int64 {
+	p := &h.chunks[i/histSub]
+	c := p.Load()
+	if c == nil {
+		c = new([histSub]atomic.Int64)
+		if !p.CompareAndSwap(nil, c) {
+			c = p.Load()
+		}
+	}
+	return &c[i%histSub]
+}
+
+// Observe records one sample.
+func (h *Histogram) Observe(v int64) { h.AddSamples(v, 1) }
+
+// AddSamples records n samples of value v in one update — the bulk path the
+// runtime/metrics bridge uses to replay bucket-count deltas from the Go
+// runtime's cumulative histograms. n <= 0 is a no-op.
 func (h *Histogram) AddSamples(v, n int64) {
 	if h == nil || n <= 0 {
 		return
 	}
+	// min, max and sum land before the bucket count, so a reader that sees
+	// the count also sees the extremes it must clamp quantiles to.
+	h.lowerMin(v)
 	if v < 0 {
 		v = 0
 	}
-	s := &h.stripes[rand.Uint64()&(histStripes-1)]
-	s.count.Add(n)
-	s.sum.Add(v * n)
-	s.buckets[bits.Len64(uint64(v))].Add(n)
-	for {
-		old := s.max.Load()
-		if v <= old || s.max.CompareAndSwap(old, v) {
-			break
+	raise(&h.max, v)
+	h.sum.Add(v * n)
+	h.counter(bucketIndex(v)).Add(n)
+}
+
+// Merge folds o's samples into h exactly, as if each had been observed on h,
+// and keeps per octave the larger of the two exemplars.
+func (h *Histogram) Merge(o *Histogram) {
+	if h == nil || o == nil {
+		return
+	}
+	v := o.Value()
+	if v.Count == 0 {
+		return
+	}
+	h.lowerMin(v.Min)
+	raise(&h.max, v.Max)
+	h.sum.Add(v.Sum)
+	for i, n := range v.buckets {
+		if n > 0 {
+			h.counter(i).Add(n)
+		}
+	}
+	if src := o.ex.Load(); src != nil {
+		dst := h.exemplarSlots()
+		for i := range src {
+			val, hi, lo, ts, ok := src[i].load()
+			if cur, _, _, _, set := dst[i].load(); ok && (!set || val > cur) {
+				dst[i].store(val, hi, lo, ts)
+			}
 		}
 	}
 }
 
-// HistogramValue is the merged view of a histogram at snapshot time.
+// HistogramValue is the merged view of a histogram at snapshot time. Sum
+// counts negative samples as zero; Min is the exact smallest sample.
 type HistogramValue struct {
-	Count, Sum, Max int64
-	// Buckets[i] counts samples in [2^(i-1), 2^i); Buckets[0] counts zeros.
-	Buckets [histBuckets]int64
+	Count, Sum, Min, Max int64
+	// chunks totals each chunk's buckets, so a quantile search skips whole
+	// octaves instead of walking every bucket.
+	chunks  [histChunks]int64
+	buckets [histBuckets]int64
 }
 
-// Value reads the merged histogram state.
-func (h *Histogram) Value() HistogramValue {
-	var out HistogramValue
+// Value reads the histogram state.
+func (h *Histogram) Value() (out HistogramValue) {
 	if h == nil {
 		return out
 	}
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		out.Count += s.count.Load()
-		out.Sum += s.sum.Load()
-		if m := s.max.Load(); m > out.Max {
-			out.Max = m
+	for c := range h.chunks {
+		p := h.chunks[c].Load()
+		if p == nil {
+			continue
 		}
-		for b := range s.buckets {
-			out.Buckets[b] += s.buckets[b].Load()
+		for s := range p {
+			n := p[s].Load()
+			out.buckets[c*histSub+s] = n
+			out.chunks[c] += n
 		}
+		out.Count += out.chunks[c]
+	}
+	out.Sum = h.sum.Load()
+	out.Max = h.max.Load()
+	if out.Count > 0 {
+		out.Min = int64(h.min.Load() ^ math.MaxInt64)
 	}
 	return out
 }
 
-// Quantile estimates the q-th quantile (0 < q <= 1) as the upper bound of
-// the bucket where the cumulative count crosses q.
-func (v HistogramValue) Quantile(q float64) int64 {
+// Quantile estimates the q-th quantile: the upper bound of the bucket
+// holding the ceil(q*Count)-th smallest sample, clamped to [Min, Max]. The
+// result is within QuantileError of the true sample, monotone in q, and 0
+// for an empty histogram; q <= 0 (or NaN) reports Min and q >= 1 Max.
+func (v *HistogramValue) Quantile(q float64) int64 {
 	if v.Count == 0 {
 		return 0
 	}
-	target := int64(q * float64(v.Count))
-	if target < 1 {
-		target = 1
+	if math.IsNaN(q) || q <= 0 {
+		return v.Min
 	}
+	if q >= 1 {
+		return v.Max
+	}
+	rank := int64(math.Ceil(q * float64(v.Count)))
 	var cum int64
-	for i, n := range v.Buckets {
-		cum += n
-		if cum >= target {
-			if i == 0 {
-				return 0
+	for c, n := range v.chunks {
+		if cum+n < rank {
+			cum += n
+			continue
+		}
+		for i := c * histSub; ; i++ {
+			if cum += v.buckets[i]; cum >= rank {
+				if i == 0 {
+					return v.Min // bucket 0 also holds negative samples
+				}
+				return min(max(bucketUpper(i), v.Min), v.Max)
 			}
-			upper := int64(1)<<uint(i) - 1
-			if upper > v.Max {
-				upper = v.Max
-			}
-			return upper
 		}
 	}
 	return v.Max
+}
+
+// octaves sums the buckets per power of two: out[i] counts the samples in
+// [2^(i-1), 2^i), out[0] the zeros.
+func (v *HistogramValue) octaves() (out [histOctaves]int64) {
+	for c, total := range v.chunks {
+		if total == 0 {
+			continue
+		}
+		for i := c * histSub; i < (c+1)*histSub; i++ {
+			out[octave(bucketUpper(i))] += v.buckets[i]
+		}
+	}
+	return out
 }
 
 // Registry is a named collection of instruments. Instruments are created on

@@ -123,16 +123,16 @@ func TestHistogramQuantiles(t *testing.T) {
 	if v.Count != 1000 || v.Max != 1000 {
 		t.Fatalf("count=%d max=%d", v.Count, v.Max)
 	}
-	p50 := v.Quantile(0.50)
-	// Bucketed estimate: the true median 500 lives in the [512,1023] or
-	// [256,511] bucket; accept the power-of-two bound.
-	if p50 < 255 || p50 > 1023 {
-		t.Errorf("p50 = %d, outside plausible bucket bounds", p50)
+	// The true median is 500; the estimate is its bucket's upper bound,
+	// at most QuantileError above it.
+	if p50 := v.Quantile(0.50); p50 < 500 || float64(p50) > 500*(1+QuantileError) {
+		t.Errorf("p50 = %d, want within %.4f of 500", p50, QuantileError)
 	}
-	if p99 := v.Quantile(0.99); p99 != 1000 {
-		t.Errorf("p99 = %d, want clamped max 1000", p99)
+	if p99 := v.Quantile(0.99); p99 < 990 || float64(p99) > 990*(1+QuantileError) {
+		t.Errorf("p99 = %d, want within %.4f of 990", p99, QuantileError)
 	}
-	if z := (HistogramValue{}).Quantile(0.5); z != 0 {
+	var empty HistogramValue
+	if z := empty.Quantile(0.5); z != 0 {
 		t.Errorf("empty quantile = %d, want 0", z)
 	}
 }

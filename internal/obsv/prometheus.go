@@ -11,8 +11,8 @@ import (
 // MetricsHandler serves the registry in the Prometheus text exposition
 // format (version 0.0.4), mounted at /metrics by DebugMux. Counters and
 // gauges map directly; a Histogram is exported with cumulative _bucket
-// series whose le bounds are the histogram's power-of-two bucket upper
-// bounds (bucket i covers [2^(i-1), 2^i), so le="2^i - 1"), plus the usual
+// series whose le bounds are powers of two (octave i covers [2^(i-1), 2^i),
+// so le="2^i - 1"; the finer sub-buckets are summed per octave), plus the usual
 // _sum and _count. Snapshot functions are exported as gauges. Instrument
 // names are sanitized for Prometheus ("." and "-" become "_").
 //
@@ -115,11 +115,13 @@ func (r *Registry) writePrometheus(b *strings.Builder, openMetrics bool) {
 
 // writePromHistogram emits one histogram series (optionally labeled) in the
 // text exposition format: cumulative _bucket lines with power-of-two le
-// bounds up to the highest populated bucket, +Inf, then _sum and _count. In
+// bounds (the log-linear sub-buckets summed per octave) up to the highest
+// populated octave, +Inf, then _sum and _count. In
 // OpenMetrics mode, a bucket line whose bucket holds an exemplar carries the
 // exemplar suffix (exemplars attach to _bucket series only).
 func writePromHistogram(b *strings.Builder, pn string, labels LabelSet, h *Histogram, openMetrics bool) {
 	v := h.Value()
+	octaves := v.octaves()
 	// prefix opens the label braces for bucket lines so le can be appended;
 	// plain renders the labels alone for the _sum/_count lines.
 	prefix, plain := "{", ""
@@ -128,15 +130,15 @@ func writePromHistogram(b *strings.Builder, pn string, labels LabelSet, h *Histo
 		prefix = plain[:len(plain)-1] + ","
 	}
 	last := 0
-	for i, c := range v.Buckets {
+	for i, c := range octaves {
 		if c > 0 {
 			last = i
 		}
 	}
 	var cum int64
 	for i := 0; i <= last; i++ {
-		cum += v.Buckets[i]
-		// Upper bound of bucket i is 2^i - 1 (bucket 0 holds zeros);
+		cum += octaves[i]
+		// Upper bound of octave i is 2^i - 1 (octave 0 holds zeros);
 		// computed in floating point because bucket 64's bound overflows
 		// int64.
 		le := math.Ldexp(1, i) - 1

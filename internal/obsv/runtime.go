@@ -13,7 +13,7 @@ import (
 // histdb samples them into /debug/history, alert rules fire on their
 // quantiles, and omcollect instance-labels them fleet-wide. The runtime
 // exposes its histograms as cumulative bucket counts; Sample replays the
-// per-tick count deltas into the striped obsv histograms via
+// per-tick count deltas into obsv histograms via
 // Histogram.AddSamples, using each bucket's upper bound (in nanoseconds) as
 // the representative value, so .p50/.p95/.p99 read as conservative
 // (pessimistic-by-one-bucket) quantiles.

@@ -78,7 +78,7 @@ func WithBrokerSlog(l *slog.Logger) BrokerOption { return eventbus.WithSlog(l) }
 func WithQueueDepth(n int) BrokerOption { return eventbus.WithQueueDepth(n) }
 
 // WithBrokerObserver directs the broker's metrics (published, delivered,
-// dropped, per-stream counters, queue depth) into obs instead of the
+// dropped, per-stream wire counters, queue depth) into obs instead of the
 // default registry.
 func WithBrokerObserver(obs *Observer) BrokerOption { return eventbus.WithObserver(obs) }
 

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Pre-push checks: vet everything, run the full suite, then re-run the
-# concurrency-heavy packages under the race detector.
+# Pre-push checks: vet everything, run the full suite and the separate
+# ombench module's tests, then re-run the concurrency-heavy packages under
+# the race detector.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -12,6 +13,9 @@ go build ./...
 
 echo "== go test ./..."
 go test ./...
+
+echo "== go test ./... (ombench module)"
+(cd ombench && go test ./...)
 
 echo "== go test -race (concurrent packages)"
 go test -race ./internal/obsv ./internal/eventbus ./internal/discovery

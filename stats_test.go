@@ -244,7 +244,7 @@ func TestBrokerOptionsAndStats(t *testing.T) {
 	if snap["eventbus.delivered"] < 1 {
 		t.Errorf("private broker observer eventbus.delivered = %d, want >= 1", snap["eventbus.delivered"])
 	}
-	if snap["eventbus.stream."+airline.FlightStream+".published"] < 1 {
+	if snap[`eventbus.wire.records{stream="`+airline.FlightStream+`",format="ASDOffEvent"}`] < 1 {
 		t.Errorf("missing per-stream published counter: %v", snap)
 	}
 }
